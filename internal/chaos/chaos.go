@@ -88,7 +88,7 @@ type Scenario struct {
 	// LogN and Planes shape the fabric. Required: LogN >= 1, Planes >= 1.
 	LogN   int `json:"log_n"`
 	Planes int `json:"planes"`
-	// VOQDepth bounds each (src, dst) ring; 0 takes the fabric default.
+	// VOQDepth bounds each (src, dst) queue; 0 takes the fabric default.
 	VOQDepth int `json:"voq_depth,omitempty"`
 	// Drop selects tail-drop backpressure (fabric.DropNew) instead of
 	// the default blocking Send.

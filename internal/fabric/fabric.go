@@ -5,9 +5,11 @@
 // run well in packet mode, the fabric bridges the two models:
 //
 //   - arriving packets land in bounded lock-free virtual output queues
-//     (VOQs), one ring per (input, output) pair, so a hot output cannot
+//     (VOQs), one FIFO per (input, output) pair, so a hot output cannot
 //     head-of-line block unrelated traffic and senders never contend on
-//     a lock;
+//     a lock; the FIFOs hold packets in nodes recycled through a
+//     per-shard free list, so memory follows the packets queued rather
+//     than N² times the depth bound;
 //   - every (src, dst) flow is pinned to one switching plane by a
 //     rendezvous hash over the healthy planes, so the ingress is sharded
 //     per plane with no cross-plane contention and a flow's packets stay
@@ -33,7 +35,6 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,9 +84,9 @@ type frame[T any] struct {
 	pkts       []Packet[T]
 	srcs, dsts []int
 
-	outSrc []int
-	mcast  bool
-	mpkts  int
+	outSrc  []int
+	mcast   bool
+	mpkts   int
 	mcopies int
 }
 
@@ -145,8 +146,9 @@ type Config struct {
 	// Planes is K, the number of parallel switching planes. Defaults
 	// to 1.
 	Planes int
-	// VOQDepth bounds each (input, output) queue, rounded up to a power
-	// of two. Defaults to DefaultVOQDepth.
+	// VOQDepth bounds each (input, output) queue. It is a bound, not a
+	// preallocation: queued packets take memory, idle flows do not.
+	// Defaults to DefaultVOQDepth.
 	VOQDepth int
 	// FrameQueue is the buffered depth of each plane's scheduler →
 	// router channel. Defaults to 2.
@@ -404,12 +406,12 @@ type Health struct {
 // Health reads the fabric's live readiness signals. It is cheap — one
 // atomic read per plane plus the VOQ occupancy sums — and safe to call
 // from a probe handler on every scrape. VOQCapacity is the logical
-// bound N²·depth: under flow-hash affinity each (src, dst) flow owns
-// exactly one ring across all shards.
+// bound N²·depth: under flow-hash affinity each (src, dst) flow is
+// queued in exactly one shard.
 func (f *Fabric[T]) Health() Health {
 	h := Health{
 		PlanesTotal: len(f.planes),
-		VOQCapacity: int64(f.n) * int64(f.n) * int64(ringDepth(f.cfg.VOQDepth)),
+		VOQCapacity: int64(f.n) * int64(f.n) * int64(f.cfg.VOQDepth),
 	}
 	for i, p := range f.planes {
 		if p.healthy.Load() {
@@ -579,7 +581,7 @@ func (f *Fabric[T]) scheduler(i int) {
 }
 
 // drainShard seals plane i's shard — after which every accepted packet
-// is observable in its rings — and schedules the remainder.
+// is linked into its flow — and schedules the remainder.
 func (f *Fabric[T]) drainShard(i int) {
 	sh := f.shards[i]
 	sh.seal()
@@ -641,9 +643,8 @@ func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], fr *f
 			f.jrn.Frame(p.id, fr.dest, fr.srcs, journal.DigestPairs(fr.srcs, fr.dsts))
 		}
 		transit := time.Since(start)
-		note := "plane " + strconv.Itoa(p.id)
 		for _, pkt := range fr.pkts {
-			pkt.Trace.SpanDur("plane_transit", start, transit, note)
+			pkt.Trace.SpanDur("plane_transit", start, transit, p.label)
 		}
 		f.met.Coalesce.ObserveValue(int64(len(fr.pkts)))
 		switch {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -295,5 +296,64 @@ func TestFabricBlockedSenderUnblocksOnClose(t *testing.T) {
 	f.Close()
 	if err := <-res; err != nil && !errors.Is(err, ErrClosed) {
 		t.Fatalf("blocked sender should see nil (raced the drain) or ErrClosed, got %v", err)
+	}
+}
+
+// TestFabricSteadyStateAllocs pins "the steady state allocates
+// nothing" on the packet path: once every one of the N² flows has
+// carried a packet and the frame and node pools have warmed up, a
+// closed loop of sends and deliveries allocates nothing per packet —
+// not in Send, the VOQ store, the scheduler, the plane's FrameServer,
+// nor the coalesced delivery.
+func TestFabricSteadyStateAllocs(t *testing.T) {
+	const (
+		logN   = 8 // N = 256, the benchmark's size
+		window = 256
+	)
+	var delivered atomic.Int64
+	f, err := NewBatched[int](Config{LogN: logN, Planes: 1, Policy: Block},
+		func(_ int, pkts []Packet[int]) { delivered.Add(int64(len(pkts))) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	n := f.N()
+	sent := int64(0)
+	// loop sends the given (src, dst) pairs window packets at a time,
+	// each window waiting for its deliveries before the next is sent.
+	loop := func(pairs [][2]int) {
+		for i := 0; i < len(pairs); i += window {
+			end := min(i+window, len(pairs))
+			for _, p := range pairs[i:end] {
+				if err := f.Send(Packet[int]{Src: p[0], Dst: p[1]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sent += int64(end - i)
+			for delivered.Load() < sent {
+				runtime.Gosched()
+			}
+		}
+	}
+	// Every flow once, one cyclic shift per window so each window is a
+	// permutation the scheduler can match in a frame or two.
+	every := make([][2]int, 0, n*n)
+	for shift := 0; shift < n; shift++ {
+		for src := 0; src < n; src++ {
+			every = append(every, [2]int{src, (src + shift) % n})
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	random := make([][2]int, window)
+	for i := range random {
+		random[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+	}
+	loop(every)
+	for i := 0; i < 20; i++ {
+		loop(random)
+	}
+	allocs := testing.AllocsPerRun(50, func() { loop(random) })
+	if allocs != 0 {
+		t.Fatalf("steady state allocates %.0f times per %d-packet window, want 0", allocs, window)
 	}
 }

@@ -21,10 +21,10 @@ type MulticastPacket[T any] struct {
 	Trace   *obs.Trace
 }
 
-// mpayload is the ring payload a multicast packet travels as: the
+// mpayload is the queued payload a multicast packet travels as: the
 // destination set rides inside a regular Packet (Dst holds the first
 // destination, which doubles as the flow-hash key), so the multicast
-// ingress reuses the same lock-free ring as the unicast VOQs.
+// ingress reuses the same lock-free flow and store as the unicast VOQs.
 type mpayload[T any] struct {
 	dsts []int
 	data T
@@ -79,20 +79,8 @@ func (f *Fabric[T]) SendMulticast(p MulticastPacket[T]) error {
 	return nil
 }
 
-// mring returns input in's multicast ring, allocating it on first use.
-func (v *voqShard[T]) mring(in int) *voqRing[mpayload[T]] {
-	if r := v.mrings[in].Load(); r != nil {
-		return r
-	}
-	fresh := newVOQRing[mpayload[T]](v.depth)
-	if v.mrings[in].CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return v.mrings[in].Load()
-}
-
 // enqueueMcast publishes a wrapped multicast packet into its input's
-// ring, honouring the drop policy — the multicast twin of enqueue,
+// flow, honouring the drop policy — the multicast twin of enqueue,
 // sharing the seal protocol, the Block parking lot, and the scheduler
 // wakeup.
 func (v *voqShard[T]) enqueueMcast(p Packet[mpayload[T]], policy DropPolicy) error {
@@ -101,32 +89,14 @@ func (v *voqShard[T]) enqueueMcast(p Packet[mpayload[T]], policy DropPolicy) err
 	if v.sealed.Load() {
 		return ErrClosed
 	}
-	r := v.mring(p.Src)
-	if !r.push(p, time.Now().UnixNano()) {
+	f := &v.mflows[p.Src]
+	if !v.mstore.push(f, v.depth, p, time.Now().UnixNano()) {
 		if policy == DropNew {
 			v.counts[p.Src].dropped.Add(1)
 			return ErrBackpressure
 		}
-		t0 := time.Now()
-		v.blockMu.Lock()
-		parked := true
-		for parked {
-			if v.sealed.Load() {
-				v.blockMu.Unlock()
-				return ErrClosed
-			}
-			v.waiters.Add(1)
-			if r.push(p, time.Now().UnixNano()) {
-				v.waiters.Add(-1)
-				parked = false
-				break
-			}
-			v.space.Wait()
-			v.waiters.Add(-1)
-		}
-		v.blockMu.Unlock()
-		if v.met != nil {
-			v.met.EnqueueWait.ObserveSince(t0)
+		if err := v.park(func() bool { return v.mstore.push(f, v.depth, p, time.Now().UnixNano()) }); err != nil {
+			return err
 		}
 	}
 	v.mcastQueued.Add(1)
@@ -135,18 +105,6 @@ func (v *voqShard[T]) enqueueMcast(p Packet[mpayload[T]], policy DropPolicy) err
 	default:
 	}
 	return nil
-}
-
-// peek exposes the oldest published packet without consuming it.
-// Single consumer only; the returned pointer is valid until the next
-// pop.
-func (r *voqRing[T]) peek() (*Packet[T], bool) {
-	pos := r.head.Load()
-	s := &r.slots[pos&r.mask]
-	if s.turn.Load() != pos>>r.shift<<1+1 {
-		return nil, false
-	}
-	return &s.pkt, true
 }
 
 // claimMulticast folds claimable multicast heads into the frame under
@@ -163,11 +121,8 @@ func (v *voqShard[T]) claimMulticast(fr *frame[T], partial []int, taken []bool, 
 		if partial[in] != Idle {
 			continue
 		}
-		r := v.mrings[in].Load()
-		if r == nil {
-			continue
-		}
-		head, ok := r.peek()
+		f := &v.mflows[in]
+		head, ok := v.mstore.peek(f)
 		if !ok {
 			continue
 		}
@@ -181,7 +136,10 @@ func (v *voqShard[T]) claimMulticast(fr *frame[T], partial []int, taken []bool, 
 		if blocked {
 			continue
 		}
-		pkt, enq, _ := r.pop()
+		pkt, enq, ok := v.mstore.pop(f)
+		if !ok {
+			continue // a sender is still linking behind the head
+		}
 		v.mcastQueued.Add(-1)
 		wait := time.Duration(tickNano - enq)
 		if v.met != nil {
@@ -262,9 +220,8 @@ func (f *Fabric[T]) dispatchMcast(home int, servers []*engine.McastFrameServer[i
 			f.jrn.McastFrame(p.id, fr.outSrc, fr.dsts, journal.DigestPairs(fr.srcs, fr.dsts))
 		}
 		transit := time.Since(start)
-		note := "plane " + fmt.Sprint(p.id)
 		for _, pkt := range fr.pkts {
-			pkt.Trace.SpanDur("plane_transit", start, transit, note)
+			pkt.Trace.SpanDur("plane_transit", start, transit, p.label)
 		}
 		f.met.Coalesce.ObserveValue(int64(len(fr.pkts)))
 		switch {

@@ -42,7 +42,7 @@ type metrics struct {
 	// simulator pass a damaged plane runs per frame, fed by netsim's
 	// timing hook.
 	VOQWait     obs.Histogram // packet enqueue -> extraction into a frame
-	EnqueueWait obs.Histogram // time a Block-policy sender spent parked on a full ring
+	EnqueueWait obs.Histogram // time a Block-policy sender spent parked on a full VOQ
 	Match       obs.Histogram // one matching extraction (buildFrame)
 	PlaneRTT    obs.Histogram // plane round-trip: engine route of a frame or round
 	Verify      obs.Histogram // output-port verification of a round
@@ -239,7 +239,7 @@ func (f *Fabric[T]) Register(reg *obs.Registry) {
 		return float64(healthy)
 	})
 	reg.RegisterHistogram("benes_fabric_voq_wait_seconds", "Packet wait from VOQ enqueue to frame extraction.", nil, &m.VOQWait)
-	reg.RegisterHistogram("benes_fabric_enqueue_wait_seconds", "Time Block-policy senders spent parked on a full VOQ ring.", nil, &m.EnqueueWait)
+	reg.RegisterHistogram("benes_fabric_enqueue_wait_seconds", "Time Block-policy senders spent parked on a full VOQ.", nil, &m.EnqueueWait)
 	reg.RegisterHistogram("benes_fabric_match_seconds", "Matching extraction (one scheduler tick).", nil, &m.Match)
 	reg.RegisterHistogram("benes_fabric_plane_seconds", "Plane round-trip for one frame or round.", nil, &m.PlaneRTT)
 	reg.RegisterHistogram("benes_fabric_verify_seconds", "Output-port verification of a round.", nil, &m.Verify)

@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,7 @@ var errPlaneDown = ErrPlaneDown
 // analogue of a multi-plane fabric card.
 type plane struct {
 	id      int
+	label   string // "plane <id>", the note on plane_transit spans
 	eng     *engine.Engine[int]
 	ident   []int    // read-only identity payload, reused by every frame
 	met     *metrics // fabric-level stage histograms; nil in bare unit tests
@@ -50,7 +52,7 @@ func newPlane(id int, cfg engine.Config, met *metrics) (*plane, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: plane %d: %w", id, err)
 	}
-	p := &plane{id: id, eng: eng, ident: make([]int, eng.Network().N()), met: met}
+	p := &plane{id: id, label: "plane " + strconv.Itoa(id), eng: eng, ident: make([]int, eng.Network().N()), met: met}
 	for i := range p.ident {
 		p.ident[i] = i
 	}

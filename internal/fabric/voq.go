@@ -32,105 +32,191 @@ func (p DropPolicy) String() string {
 	return "unknown"
 }
 
-// voqSlot is one ring slot. turn is the slot's lap word: ticket pos
-// (lap = pos >> shift) may push when turn == 2·lap, the packet is
-// published to the consumer by storing 2·lap+1, and the consumer frees
-// the slot for the next lap by storing 2·lap+2. The encoding starts at
-// zero — "free for lap 0" — so a freshly allocated ring needs no
-// initialization pass beyond Go's zeroing, which keeps the lazy
-// per-flow allocation in ring() cheap. enq is the enqueue wall clock in
-// UnixNano (an int64, not a time.Time, to keep slots small: rings exist
-// per (input, output) flow and their footprint is the fabric's memory
-// bill).
-type voqSlot[T any] struct {
-	turn atomic.Uint64
+// voqNode is one queued packet in a shard's store. next is a 1-based
+// store index (0 ends the chain): the node's successor in its flow's
+// FIFO while queued, the next free node while on the free list. enq is
+// the enqueue wall clock in UnixNano (an int64, not a time.Time, to keep
+// nodes small).
+type voqNode[T any] struct {
+	next atomic.Uint32
 	pkt  Packet[T]
 	enq  int64
 }
 
-// voqRing is one (input, output) virtual output queue: a bounded
-// lock-free ring in the style of Vyukov's bounded MPMC queue, used here
-// with many producers (senders) and a single consumer (the owning
-// shard's scheduler goroutine). Producers claim a ticket with one CAS
-// on tail and publish with one store to the slot's turn word; the
-// consumer needs no CAS at all. Capacity is rounded up to a power of
-// two so slot indexing is a mask.
-type voqRing[T any] struct {
-	mask  uint64
-	shift uint
-	slots []voqSlot[T]
-	_     [32]byte // keep head off the producers' tail line
-	head  atomic.Uint64
-	_     [56]byte
-	tail  atomic.Uint64
+// Store chunk geometry: chunk k holds storeBase<<k nodes, so the chunk
+// directory is a fixed array that never has to be copied to grow, and
+// storeChunks chunks cover every uint32 index.
+const (
+	storeShift  = 6
+	storeBase   = 1 << storeShift
+	storeChunks = 32 - storeShift
+)
+
+// voqStore holds a shard's queued packets: nodes in geometrically
+// growing chunks, addressed by 1-based uint32 index, and a lock-free
+// free list of the nodes not in any flow. Memory therefore tracks the
+// high-water mark of packets actually queued (within the 2× of the last
+// chunk), not the N²·depth bound of the flows. Nodes are recycled, never
+// handed back to the GC, so the steady state allocates nothing.
+//
+// The free list is a Treiber stack whose head word packs a 32-bit
+// version tag above the top index. Senders pop from it and the
+// scheduler pushes onto it; because nodes are reused, a pop that read a
+// stale top and its successor could otherwise succeed after that node
+// was popped and pushed back (ABA), and the tag makes such a CAS fail.
+type voqStore[T any] struct {
+	free    atomic.Uint64
+	chunks  [storeChunks]atomic.Pointer[[]voqNode[T]]
+	growing atomic.Bool // held by the one sender adding a chunk
+	grown   int         // chunks installed; guarded by growing
 }
 
-// ringDepth rounds depth up to the power of two the ring actually
-// allocates, minimum 2: with a single slot the sequence value that
-// marks "free for ticket t" equals the one that marks "published by
-// ticket t-1", so the ring cannot tell a full slot from an empty one.
-func ringDepth(depth int) int {
-	size := 2
-	for size < depth {
-		size <<= 1
-	}
-	return size
+// node returns the node with 1-based index i.
+func (s *voqStore[T]) node(i uint32) *voqNode[T] {
+	j := uint64(i) - 1 + storeBase
+	k := bits.Len64(j) - 1 - storeShift
+	return &(*s.chunks[k].Load())[j-storeBase<<k]
 }
 
-func newVOQRing[T any](depth int) *voqRing[T] {
-	size := ringDepth(depth)
-	return &voqRing[T]{
-		mask:  uint64(size - 1),
-		shift: uint(bits.TrailingZeros(uint(size))),
-		slots: make([]voqSlot[T], size),
-	}
-}
-
-// push publishes one packet; false means the ring is full.
-func (r *voqRing[T]) push(p Packet[T], enq int64) bool {
+// alloc takes a node off the free list, growing the store when it is
+// empty.
+func (s *voqStore[T]) alloc() (uint32, *voqNode[T]) {
 	for {
-		pos := r.tail.Load()
-		s := &r.slots[pos&r.mask]
-		switch d := int64(s.turn.Load()) - int64(pos>>r.shift<<1); {
-		case d == 0:
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				s.pkt, s.enq = p, enq
-				s.turn.Store((pos>>r.shift)<<1 + 1)
-				return true
+		old := s.free.Load()
+		i := uint32(old)
+		if i == 0 {
+			if i = s.grow(); i != 0 {
+				return i, s.node(i)
 			}
-		case d < 0:
-			// The slot still holds the previous lap's packet: full.
+			continue
+		}
+		nd := s.node(i)
+		if s.free.CompareAndSwap(old, (old>>32+1)<<32|uint64(nd.next.Load())) {
+			return i, nd
+		}
+	}
+}
+
+// release pushes the chain head → … → tail (linked through next) onto
+// the free list.
+func (s *voqStore[T]) release(head, tail uint32) {
+	tn := s.node(tail)
+	for {
+		old := s.free.Load()
+		tn.next.Store(uint32(old))
+		if s.free.CompareAndSwap(old, (old>>32+1)<<32|uint64(head)) {
+			return
+		}
+	}
+}
+
+// grow installs the next chunk, keeps its first node for the caller and
+// frees the rest. One sender grows at a time: the others, and a grower
+// that finds nodes were freed meanwhile, return 0 and retry the free
+// list, so a burst of senders hitting an empty list adds one chunk, not
+// one each.
+func (s *voqStore[T]) grow() uint32 {
+	if !s.growing.CompareAndSwap(false, true) {
+		runtime.Gosched()
+		return 0
+	}
+	defer s.growing.Store(false)
+	if uint32(s.free.Load()) != 0 {
+		return 0
+	}
+	k := s.grown
+	if k == storeChunks {
+		panic("fabric: VOQ store exhausted its index space")
+	}
+	nodes := make([]voqNode[T], storeBase<<k)
+	first := uint32(storeBase*(1<<k-1)) + 1
+	last := first + uint32(len(nodes)) - 1
+	for i := first + 1; i < last; i++ {
+		nodes[i-first].next.Store(i + 1)
+	}
+	s.chunks[k].Store(&nodes)
+	s.grown++
+	s.release(first+1, last)
+	return first
+}
+
+// voqFlow is one virtual output queue: a FIFO of store nodes with many
+// producers (senders) and a single consumer (the owning shard's
+// scheduler). count is the number of packets admitted and not yet
+// popped; senders reserve a place by CAS on it before taking a node, so
+// it enforces the depth bound exactly. An idle flow holds no node.
+//
+// A sender links its node by swapping it into tail and then either
+// storing it as head (the flow was empty) or linking it behind the
+// previous tail. The consumer retires the last node by CAS-ing tail
+// back to 0; when that CAS loses to a sender that is still linking, the
+// head stays queued until the link lands.
+type voqFlow struct {
+	head  atomic.Uint32
+	tail  atomic.Uint32
+	count atomic.Int64
+}
+
+// push admits one packet into f; false means f already holds depth
+// packets.
+func (s *voqStore[T]) push(f *voqFlow, depth int64, p Packet[T], enq int64) bool {
+	for {
+		c := f.count.Load()
+		if c >= depth {
 			return false
 		}
-		// d > 0 or a lost CAS: another producer advanced tail; retry.
+		if f.count.CompareAndSwap(c, c+1) {
+			break
+		}
 	}
+	i, nd := s.alloc()
+	nd.pkt, nd.enq = p, enq
+	nd.next.Store(0)
+	if prev := f.tail.Swap(i); prev == 0 {
+		f.head.Store(i)
+	} else {
+		s.node(prev).next.Store(i)
+	}
+	return true
 }
 
-// pop takes the oldest packet; enq is its enqueue UnixNano. Single
-// consumer only.
-func (r *voqRing[T]) pop() (Packet[T], int64, bool) {
-	pos := r.head.Load()
-	s := &r.slots[pos&r.mask]
-	lap := pos >> r.shift << 1
-	if s.turn.Load() != lap+1 {
-		var zero Packet[T]
+// pop takes f's oldest packet; enq is its enqueue UnixNano. It reports
+// false when f is empty or its head is the last node and a sender is
+// still linking a successor behind it — count then stays above zero and
+// the packet is taken by a later pop. Single consumer only.
+func (s *voqStore[T]) pop(f *voqFlow) (Packet[T], int64, bool) {
+	var zero Packet[T]
+	h := f.head.Load()
+	if h == 0 {
 		return zero, 0, false
 	}
-	p, enq := s.pkt, s.enq
-	var zero Packet[T]
-	s.pkt = zero // release payload and trace references
-	s.turn.Store(lap + 2)
-	r.head.Store(pos + 1)
+	nd := s.node(h)
+	if next := nd.next.Load(); next != 0 {
+		f.head.Store(next)
+	} else if f.tail.CompareAndSwap(h, 0) {
+		// A sender that swapped tail after this CAS stores its node
+		// as head itself; only clear head if it has not done so yet.
+		f.head.CompareAndSwap(h, 0)
+	} else if next = nd.next.Load(); next != 0 {
+		f.head.Store(next)
+	} else {
+		return zero, 0, false
+	}
+	p, enq := nd.pkt, nd.enq
+	nd.pkt = zero // release payload and trace references
+	f.count.Add(-1)
+	s.release(h, h)
 	return p, enq, true
 }
 
-// size is the approximate occupancy; exact when producers are quiescent.
-func (r *voqRing[T]) size() int64 {
-	t, h := r.tail.Load(), r.head.Load()
-	if t < h {
-		return 0
+// peek exposes f's oldest linked packet without consuming it. Single
+// consumer only; the pointer is valid until the next pop of f.
+func (s *voqStore[T]) peek(f *voqFlow) (*Packet[T], bool) {
+	h := f.head.Load()
+	if h == 0 {
+		return nil, false
 	}
-	return int64(t - h)
+	return &s.node(h).pkt, true
 }
 
 // voqInputCounters is the per-input slice of VOQ accounting, exported
@@ -143,38 +229,42 @@ type voqInputCounters struct {
 	maxDepth atomic.Int64 // high-water mark of occupied
 }
 
-// voqShard is one switching plane's slice of the fabric ingress: a
-// lazily allocated N² grid of lock-free rings, a per-input nonempty
-// bitmap, and the iSLIP-style rotating pointers of its scheduler. Flow
-// hashing assigns every (src, dst) flow to exactly one shard, so across
-// shards only N² rings are ever in use; rings materialize on a flow's
-// first packet (a CAS on the grid pointer), which keeps an idle shard's
-// footprint at one pointer per pair instead of a full ring.
+// voqShard is one switching plane's slice of the fabric ingress: an N²
+// grid of per-flow FIFO headers over one packet store, a per-input
+// nonempty bitmap, and the iSLIP-style rotating pointers of its
+// scheduler. Flow hashing assigns every (src, dst) flow to exactly one
+// shard, so across shards only N² flows are ever in use. A flow header
+// is 16 bytes and holds no node while idle; queued packets live in the
+// store's recycled nodes, so the shard's memory follows the packets
+// queued, not N²·depth.
 //
-// Producers (Send) touch only lock-free state: ring push, counter adds,
+// Producers (Send) touch only lock-free state: flow push, counter adds,
 // bitmap set. The single consumer — the shard's scheduler goroutine —
 // owns pop, bitmap clearing, and the rotating pointers. The only lock
 // is the Block-policy parking lot, paid exclusively by senders that
-// found their ring full.
+// found their flow full.
 type voqShard[T any] struct {
 	n     int
-	depth int // per-ring bound (power of two)
-	words int // bitmap words per input
+	depth int64 // per-flow bound
+	words int   // bitmap words per input
 	met   *metrics
 
-	rings    []atomic.Pointer[voqRing[T]] // rings[in*n+out], lazily allocated
-	nonempty []atomic.Uint64              // nonempty[in*words+out/64]
-	counts   []voqInputCounters           // per input
+	store    voqStore[T]
+	flows    []voqFlow          // flows[in*n+out]
+	nonempty []atomic.Uint64    // nonempty[in*words+out/64]
+	counts   []voqInputCounters // per input
 
-	// Multicast ingress: one lazily allocated ring per input (a fan-out
-	// packet targets many outputs, so the per-(input, output) grid does
-	// not apply; one ring per input preserves per-input FIFO order among
-	// its multicast packets). mcastQueued counts packets across them.
-	mrings      []atomic.Pointer[voqRing[mpayload[T]]]
+	// Multicast ingress: one flow per input (a fan-out packet targets
+	// many outputs, so the per-(input, output) grid does not apply; one
+	// flow per input preserves per-input FIFO order among its multicast
+	// packets), over a store of its own that allocates nothing until the
+	// first multicast packet. mcastQueued counts packets across them.
+	mstore      voqStore[mpayload[T]]
+	mflows      []voqFlow
 	mcastQueued atomic.Int64
 
 	// Close protocol: inflight counts senders between admission check
-	// and ring publish; seal flips sealed, then waits for inflight to
+	// and flow publish; seal flips sealed, then waits for inflight to
 	// reach zero, after which a final drain observes every accepted
 	// packet.
 	sealed   atomic.Bool
@@ -202,33 +292,20 @@ type voqShard[T any] struct {
 func newVOQShard[T any](n, depth int, met *metrics) *voqShard[T] {
 	v := &voqShard[T]{
 		n:       n,
-		depth:   ringDepth(depth),
+		depth:   int64(depth),
 		words:   (n + 63) / 64,
 		met:     met,
+		flows:   make([]voqFlow, n*n),
 		counts:  make([]voqInputCounters, n),
+		mflows:  make([]voqFlow, n),
 		notify:  make(chan struct{}, 1),
 		rrOut:   make([]int, n),
 		partial: make([]int, n),
 		taken:   make([]bool, n),
 	}
-	v.rings = make([]atomic.Pointer[voqRing[T]], n*n)
-	v.mrings = make([]atomic.Pointer[voqRing[mpayload[T]]], n)
 	v.nonempty = make([]atomic.Uint64, n*v.words)
 	v.space = sync.NewCond(&v.blockMu)
 	return v
-}
-
-// ring returns the (src, dst) ring, allocating it on first use. CAS
-// losers discard their allocation, so every index settles on one ring.
-func (v *voqShard[T]) ring(idx int) *voqRing[T] {
-	if r := v.rings[idx].Load(); r != nil {
-		return r
-	}
-	fresh := newVOQRing[T](v.depth)
-	if v.rings[idx].CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return v.rings[idx].Load()
 }
 
 // setBit / clearBit are CAS loops because the go.mod language version
@@ -258,13 +335,13 @@ func (v *voqShard[T]) enqueue(p Packet[T], policy DropPolicy) error {
 	if v.sealed.Load() {
 		return ErrClosed
 	}
-	r := v.ring(p.Src*v.n + p.Dst)
-	if !r.push(p, time.Now().UnixNano()) {
+	f := &v.flows[p.Src*v.n+p.Dst]
+	if !v.store.push(f, v.depth, p, time.Now().UnixNano()) {
 		if policy == DropNew {
 			v.counts[p.Src].dropped.Add(1)
 			return ErrBackpressure
 		}
-		if err := v.pushBlocking(r, p); err != nil {
+		if err := v.park(func() bool { return v.store.push(f, v.depth, p, time.Now().UnixNano()) }); err != nil {
 			return err
 		}
 	}
@@ -285,11 +362,12 @@ func (v *voqShard[T]) enqueue(p Packet[T], policy DropPolicy) error {
 	return nil
 }
 
-// pushBlocking parks the sender until the ring has room or the shard
-// seals. The waiter count is raised before each retry so the consumer's
-// post-pop check cannot miss a sender that observed the ring full just
-// before the pop freed a slot.
-func (v *voqShard[T]) pushBlocking(r *voqRing[T], p Packet[T]) error {
+// park is the Block policy: it retries push until it succeeds or the
+// shard seals, sleeping on the parking lot in between. The waiter count
+// is raised before each retry so the consumer's post-pop check cannot
+// miss a sender that observed its flow full just before the pop freed a
+// place.
+func (v *voqShard[T]) park(push func() bool) error {
 	t0 := time.Now()
 	v.blockMu.Lock()
 	defer v.blockMu.Unlock()
@@ -298,7 +376,7 @@ func (v *voqShard[T]) pushBlocking(r *voqRing[T], p Packet[T]) error {
 			return ErrClosed
 		}
 		v.waiters.Add(1)
-		if r.push(p, time.Now().UnixNano()) {
+		if push() {
 			v.waiters.Add(-1)
 			break
 		}
@@ -311,8 +389,8 @@ func (v *voqShard[T]) pushBlocking(r *voqRing[T], p Packet[T]) error {
 	return nil
 }
 
-// signalSpace wakes parked senders after the scheduler freed ring
-// slots. The lock is taken only when somebody is actually parked.
+// signalSpace wakes parked senders after the scheduler freed places in
+// their flows. The lock is taken only when somebody is actually parked.
 func (v *voqShard[T]) signalSpace() {
 	if v.waiters.Load() == 0 {
 		return
@@ -325,7 +403,7 @@ func (v *voqShard[T]) signalSpace() {
 // seal stops admissions: senders racing the seal either complete their
 // publish (and are observed by the final drain) or see ErrClosed, and
 // parked senders are woken to see it too. On return every accepted
-// packet is in its ring.
+// packet is linked into its flow.
 func (v *voqShard[T]) seal() {
 	v.blockMu.Lock()
 	v.sealed.Store(true)
@@ -360,23 +438,23 @@ func nextSet(bm []atomic.Uint64, from, hi int) int {
 	}
 }
 
-// clearIfEmpty drops the (in, out) nonempty bit when the ring has
+// clearIfEmpty drops the (in, out) nonempty bit when flow f has
 // drained, then re-checks: a producer that published between the
 // emptiness check and the clear re-raises its bit after the push, but a
 // producer that published *before* the clear would be lost without the
 // re-check.
-func (v *voqShard[T]) clearIfEmpty(in, out int, r *voqRing[T]) {
+func (v *voqShard[T]) clearIfEmpty(in, out int, f *voqFlow) {
 	w := &v.nonempty[in*v.words+out>>6]
 	bit := uint64(1) << uint(out&63)
 	andNotBit(w, bit)
-	if r.size() > 0 {
+	if f.count.Load() > 0 {
 		orBit(w, bit)
 	}
 }
 
 // buildFrame extracts a conflict-free partial matching — at most one
 // packet per input and per output — into fr and completes it to a full
-// permutation. It reports false when every ring is empty. Inputs are
+// permutation. It reports false when every flow is empty. Inputs are
 // scanned from a rotating start, and each input scans its outputs from
 // its own rotating pointer, so repeated frames cycle through contending
 // pairs instead of always favouring low indices. Consumer only.
@@ -420,20 +498,14 @@ func (v *voqShard[T]) buildFrame(fr *frame[T]) bool {
 				if taken[j] {
 					continue
 				}
-				r := v.rings[in*n+j].Load()
-				if r == nil {
-					// A bit with no ring cannot happen (the bit is set
-					// after the push); clear defensively.
-					andNotBit(&bm[j>>6], 1<<uint(j&63))
-					continue
-				}
-				pkt, enq, ok := r.pop()
+				f := &v.flows[in*n+j]
+				pkt, enq, ok := v.store.pop(f)
 				if !ok {
-					v.clearIfEmpty(in, j, r)
+					v.clearIfEmpty(in, j, f)
 					continue
 				}
-				if r.size() == 0 {
-					v.clearIfEmpty(in, j, r)
+				if f.count.Load() == 0 {
+					v.clearIfEmpty(in, j, f)
 				}
 				v.counts[in].occupied.Add(-1)
 				wait := time.Duration(tickNano - enq)
@@ -486,15 +558,19 @@ func (v *voqShard[T]) occupancy() int64 {
 	return total
 }
 
-// snapshot copies the per-input counters.
+// snapshot copies the per-input counters. Occupied is read before
+// Enqueued: senders bump enqueued before occupied, so occupied never
+// exceeds enqueued at any instant, and reading them in this order keeps
+// Enqueued >= Occupied in the copy while senders race the read.
 func (v *voqShard[T]) snapshot() []VOQInputCounters {
 	out := make([]VOQInputCounters, v.n)
 	for i := range v.counts {
 		c := &v.counts[i]
+		occ := c.occupied.Load()
 		out[i] = VOQInputCounters{
 			Enqueued: c.enqueued.Load(),
 			Dropped:  c.dropped.Load(),
-			Occupied: c.occupied.Load(),
+			Occupied: occ,
 			MaxDepth: c.maxDepth.Load(),
 		}
 	}
